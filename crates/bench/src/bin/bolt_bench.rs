@@ -40,7 +40,7 @@
 //! `forest.predict` answer; any mismatch or protocol error fails the run.
 
 use bolt_baselines::ScikitLikeForest;
-use bolt_bench::loadgen::{BenchSnapshot, OpenLoopConfig, Target};
+use bolt_bench::loadgen::{git_rev, BenchSnapshot, OpenLoopConfig, Target};
 use bolt_bench::{print_table, train_workload};
 use bolt_core::{BoltConfig, BoltForest};
 use bolt_data::Workload;
@@ -200,19 +200,6 @@ fn parse_target(value: &str) -> Result<Target, String> {
     Err(format!(
         "--connect wants uds:PATH or tcp:ADDR, got {value:?}"
     ))
-}
-
-/// `git rev-parse --short HEAD`, or `"unknown"` outside a checkout.
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|rev| rev.trim().to_owned())
-        .filter(|rev| !rev.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
 }
 
 /// Validates snapshot files against the current schema; any failure makes

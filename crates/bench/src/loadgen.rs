@@ -649,8 +649,10 @@ pub struct BenchSnapshot {
     pub bench: String,
     /// Workload name (snapshot stem).
     pub workload: String,
-    /// `git rev-parse --short HEAD` at run time (`"unknown"` outside a
-    /// checkout).
+    /// The checkout's commit at run time ([`git_rev`]): the full
+    /// `git rev-parse HEAD`, plus `-dirty` when the working tree had
+    /// uncommitted changes (`"unknown"` outside a checkout). Snapshots
+    /// from older builds carry the short form; both validate.
     pub git_rev: String,
     /// Scan kernel the *server* process resolved
     /// (`bolt_core::Kernel::selected()`).
@@ -798,9 +800,15 @@ impl BenchSnapshot {
         if snapshot.bench != "bolt-bench" {
             return Err(format!("bench field is {:?}", snapshot.bench));
         }
+        if !is_git_rev(&snapshot.git_rev) {
+            return Err(format!(
+                "git_rev {:?} is not a commit id (short or full, optionally -dirty) \
+                 or \"unknown\"",
+                snapshot.git_rev
+            ));
+        }
         for (field, value) in [
             ("workload", &snapshot.workload),
-            ("git_rev", &snapshot.git_rev),
             ("kernel", &snapshot.kernel),
             ("transport", &snapshot.transport),
         ] {
@@ -828,9 +836,76 @@ impl BenchSnapshot {
     }
 }
 
+/// The provenance a snapshot records: the full commit id of the checkout
+/// the process runs in, with `-dirty` when `git status --porcelain` lists
+/// anything, so a snapshot taken before its change is committed is not
+/// mistaken for one of the parent. `"unknown"` outside a checkout.
+#[must_use]
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let rev = git(&["rev-parse", "HEAD"]);
+    let dirty = git(&["status", "--porcelain"]).is_some_and(|out| !out.trim().is_empty());
+    format_git_rev(rev.as_deref(), dirty)
+}
+
+/// Formats [`git_rev`] from `git rev-parse HEAD`'s output (`None` when git
+/// failed) and whether the working tree was dirty.
+fn format_git_rev(rev: Option<&str>, dirty: bool) -> String {
+    match rev.map(str::trim).filter(|rev| !rev.is_empty()) {
+        Some(rev) if dirty => format!("{rev}-dirty"),
+        Some(rev) => rev.to_owned(),
+        None => "unknown".to_owned(),
+    }
+}
+
+/// Whether `rev` is a `git_rev` a snapshot may carry: `"unknown"`, or a
+/// hex commit id of 7 to 40 digits (the short form older snapshots carry,
+/// or the full one) with an optional `-dirty` suffix.
+fn is_git_rev(rev: &str) -> bool {
+    let id = rev.strip_suffix("-dirty").unwrap_or(rev);
+    rev == "unknown" || ((7..=40).contains(&id.len()) && id.bytes().all(|b| b.is_ascii_hexdigit()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn git_rev_records_the_full_id_and_a_dirty_flag() {
+        let full = "706ae21c0ffee0123456789abcdef0123456789a";
+        assert_eq!(format_git_rev(Some(&format!("{full}\n")), false), full);
+        assert_eq!(format_git_rev(Some(full), true), format!("{full}-dirty"));
+        assert_eq!(format_git_rev(None, true), "unknown");
+        assert_eq!(format_git_rev(Some(" \n"), false), "unknown");
+        // --check and --compare accept the new forms and the short ids
+        // older snapshots carry.
+        for ok in [
+            full,
+            &format!("{full}-dirty"),
+            "706ae21",
+            "706ae21-dirty",
+            "unknown",
+        ] {
+            assert!(is_git_rev(ok), "{ok}");
+        }
+        for bad in [
+            "",
+            "-dirty",
+            "706ae",
+            "xyz1234",
+            "unknown-dirty",
+            &format!("{full}0"),
+        ] {
+            assert!(!is_git_rev(bad), "{bad}");
+        }
+    }
 
     fn sample_report() -> LoadReport {
         let mut client = LatencyHistogram::new();

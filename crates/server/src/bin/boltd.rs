@@ -99,10 +99,14 @@ serving flags (event-loop front-end with adaptive micro-batching is the default)
                        event-loop: non-blocking front-end; concurrent
                        single-sample requests coalesce into batch-kernel
                        calls. [default: event-loop]
-  --no-microbatch      keep the event loop but dispatch every request
-                       individually (no coalescing).
-  --mb-flush-samples N flush a micro-batch at N pending samples.
-                       [default: 64]
+  --no-microbatch      keep the event loop but serve every request one at a
+                       time: each is read, classified and answered on the
+                       loop thread, with no coalescing and no worker
+                       handoff (same as a flush at 1 sample; conflicts
+                       with --mb-flush-samples and --mb-flush-micros).
+  --mb-flush-samples N flush a micro-batch at N pending samples; a request
+                       with N or more samples of its own runs inline on
+                       the loop thread. [default: 64]
   --mb-flush-micros T  flush a micro-batch T µs after its oldest sample
                        (upper bound; an idle input flushes immediately).
                        [default: 200]
@@ -161,12 +165,20 @@ fn serving_mode(
             Ok(ServingMode::ThreadPerConnection)
         }
         "event-loop" => {
+            if no_microbatch && (flush_samples.is_some() || flush_micros.is_some()) {
+                return Err(
+                    "--no-microbatch conflicts with --mb-flush-samples/--mb-flush-micros"
+                        .to_owned(),
+                );
+            }
             let defaults = MicroBatchConfig::default();
             let opts = EventLoopOptions {
                 microbatch: MicroBatchConfig {
-                    enabled: !no_microbatch,
-                    flush_samples: flush_samples
-                        .map_or(defaults.flush_samples, |n| n.max(1) as usize),
+                    flush_samples: if no_microbatch {
+                        1
+                    } else {
+                        flush_samples.map_or(defaults.flush_samples, |n| n.max(1) as usize)
+                    },
                     flush_wait: flush_micros.map_or(defaults.flush_wait, Duration::from_micros),
                     queue_depth: queue_depth.map_or(defaults.queue_depth, |n| n.max(1) as usize),
                 },
@@ -553,7 +565,7 @@ fn run() -> Result<(), String> {
         ServingMode::ThreadPerConnection => {
             println!("boltd serving: one thread per connection (no batching)");
         }
-        ServingMode::EventLoop(opts) if opts.microbatch.enabled => {
+        ServingMode::EventLoop(opts) if opts.microbatch.flush_samples > 1 => {
             println!(
                 "boltd serving: event loop, micro-batch flush at {} samples / {} µs, \
                  queue depth {}, workers {}",
@@ -569,7 +581,8 @@ fn run() -> Result<(), String> {
         }
         ServingMode::EventLoop(opts) => {
             println!(
-                "boltd serving: event loop, micro-batching off, queue depth {}",
+                "boltd serving: event loop, micro-batching off (every request inline on the \
+                 loop thread), queue depth {}",
                 opts.microbatch.queue_depth
             );
         }
@@ -640,7 +653,6 @@ mod tests {
         let mode = serving_mode(None, false, None, None, None, None).unwrap();
         match mode {
             ServingMode::EventLoop(opts) => {
-                assert!(opts.microbatch.enabled);
                 assert_eq!(opts.microbatch.flush_samples, 64);
                 assert_eq!(opts.workers, 0);
             }
@@ -652,7 +664,7 @@ mod tests {
     fn serving_flags_parse_into_options() {
         let mode = serving_mode(
             Some("event-loop"),
-            true,
+            false,
             Some("128"),
             Some("500"),
             Some("1024"),
@@ -661,7 +673,6 @@ mod tests {
         .unwrap();
         match mode {
             ServingMode::EventLoop(opts) => {
-                assert!(!opts.microbatch.enabled);
                 assert_eq!(opts.microbatch.flush_samples, 128);
                 assert_eq!(opts.microbatch.flush_wait, Duration::from_micros(500));
                 assert_eq!(opts.microbatch.queue_depth, 1024);
@@ -669,6 +680,20 @@ mod tests {
             }
             other => panic!("expected event loop, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn no_microbatch_is_a_one_sample_flush_and_conflicts_with_flush_flags() {
+        match serving_mode(None, true, None, None, Some("1024"), Some("4")).unwrap() {
+            ServingMode::EventLoop(opts) => {
+                assert_eq!(opts.microbatch.flush_samples, 1);
+                assert_eq!(opts.microbatch.queue_depth, 1024);
+                assert_eq!(opts.workers, 4);
+            }
+            other => panic!("expected event loop, got {other:?}"),
+        }
+        assert!(serving_mode(None, true, Some("8"), None, None, None).is_err());
+        assert!(serving_mode(None, true, None, Some("500"), None, None).is_err());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Non-blocking event-loop front-end with adaptive micro-batching.
 //!
-//! The thread-per-connection front-end ([`super::server`]) spends its
-//! concurrency budget on parked OS threads and hands the engine one sample
-//! at a time, so the batch kernel's 2.2–3× throughput advantage never
-//! reaches the serving path. This module replaces it with one event-loop
-//! thread multiplexing every connection through a level-triggered
-//! [`epoll::Poller`], plus a small worker pool that runs the actual
-//! inference:
+//! The default front-end: one event-loop thread multiplexes every
+//! connection through a level-triggered [`epoll::Poller`], and a small
+//! worker pool runs inference on coalesced requests, so concurrent
+//! single-sample clients reach the batch kernel's 2.2–3× throughput
+//! advantage. (The thread-per-connection front-end, [`ServingMode`]'s
+//! other arm, parks one OS thread per connection and hands the engine one
+//! sample at a time.)
 //!
 //! ```text
 //!             ┌────────────────────────── event-loop thread ─────────────┐
@@ -17,7 +17,7 @@
 //!             └───────▲──────────────────────────────┬───────────────────┘
 //!                     │ completions (wake pipe)      │ FlushGroup / Batch
 //!             ┌───────┴──────────────────────────────▼───────────────────┐
-//!             │ worker pool: classify_batch on the entry-major kernel    │
+//!             │ worker pool: classify (1 sample) / classify_batch (more) │
 //!             └──────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -28,6 +28,11 @@
 //! `EPOLLOUT` interest until drained. Responses are delivered strictly in
 //! request order through a slot queue, no matter how the worker pool
 //! reorders completions.
+//!
+//! **Inline path.** A request whose own samples reach the flush threshold
+//! gains nothing from coalescing; the loop classifies and answers it
+//! itself, without the worker handoff. Under `flush_samples = 1`
+//! (`boltd --no-microbatch`) that is every request.
 //!
 //! **Backpressure.** Admission is bounded by the micro-batcher's
 //! `queue_depth`; a request past the bound is answered immediately with a
@@ -50,7 +55,7 @@ use crate::proto::{
     ERR_INTERNAL, ERR_MALFORMED_REQUEST, ERR_OVERLOADED, ERR_UNSUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 use crate::registry::ModelHandle;
-use crate::server::{route_error_frame, Shared};
+use crate::server::{classify, route_error_frame, Shared};
 use bytes::Bytes;
 use epoll::{Interest, Poller};
 use std::collections::VecDeque;
@@ -284,15 +289,10 @@ fn run_job(job: Job) -> Vec<Completion> {
                 .iter()
                 .map(|item| item.features.as_slice())
                 .collect();
-            let start = Instant::now();
-            let classes = group.model.engine().classify_batch(&borrowed);
-            let elapsed = start.elapsed().as_nanos() as u64;
-            let n = group.items.len() as u64;
-            group.model.book(n, elapsed);
-            // Each coalesced request reports the amortized share of the
-            // batch's wall clock — the same accounting `classify_many`
-            // applies to client-submitted batches.
-            let latency_ns = (elapsed / n.max(1)).max(1);
+            let (classes, elapsed) = classify(&group.model, &borrowed);
+            // Each coalesced request reports its amortized share of the
+            // call's wall clock.
+            let latency_ns = (elapsed / borrowed.len().max(1) as u64).max(1);
             group
                 .items
                 .into_iter()
@@ -320,10 +320,7 @@ fn run_job(job: Job) -> Vec<Completion> {
             samples,
         } => {
             let borrowed: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-            let start = Instant::now();
-            let classes = model.engine().classify_batch(&borrowed);
-            let latency_ns = start.elapsed().as_nanos() as u64;
-            model.book(borrowed.len() as u64, latency_ns);
+            let (classes, latency_ns) = classify(&model, &borrowed);
             let response = ClassifyBatchResponse {
                 classes,
                 latency_ns,
@@ -810,6 +807,16 @@ impl EventLoop {
             v2,
             features,
         };
+        if self.batcher.flush_samples() <= 1 {
+            // A lone sample already fills a flush: nothing can coalesce
+            // with it, so classify it here (`--no-microbatch`).
+            let group = FlushGroup {
+                model,
+                items: vec![sample],
+            };
+            self.run_inline(index, Job::Group(group));
+            return;
+        }
         let groups = self.batcher.enqueue(model, sample, Instant::now());
         self.dispatch(groups);
     }
@@ -830,8 +837,8 @@ impl EventLoop {
             }
         };
         if samples.is_empty() {
-            // Answer inline without touching engine or statistics, like
-            // `classify_many`.
+            // Answer inline without touching engine or statistics: latency
+            // booked without a request count would skew the mean.
             let response = ClassifyBatchResponse {
                 classes: Vec::new(),
                 latency_ns: 0,
@@ -857,12 +864,10 @@ impl EventLoop {
         let slot = alloc_slot(conn);
         // Client-submitted batches are already kernel-sized; hand them
         // through whole instead of re-coalescing. Batches at or above the
-        // flush threshold take the same-thread fast path: they gain
-        // nothing from coalescing, so the loop→worker handoff (queue,
-        // wake pipe, completion lock) is pure added latency for them —
-        // the `uds_batch` p99 regression recorded in EXPERIMENTS.md
-        // entry 2. Running the kernel inline trades one batch of loop
-        // availability for a shorter, lock-free response path.
+        // flush threshold run inline (see `run_inline`) — the `uds_batch`
+        // p99 regression recorded in EXPERIMENTS.md entry 2. Running the
+        // kernel inline trades one batch of loop availability for a
+        // shorter, lock-free response path.
         let job = Job::Batch {
             model,
             token,
@@ -871,20 +876,29 @@ impl EventLoop {
             samples,
         };
         if n >= self.batcher.flush_samples() {
-            let done = run_job(job);
-            self.batcher.release(n);
-            let Some(Some(conn)) = self.conns.get_mut(index) else {
-                return;
-            };
-            for completion in done {
-                fill_slot(conn, completion.slot, completion.frame);
-            }
-            drain_ready(conn);
-            self.flush_out(index);
-            self.update_interest(index);
+            self.run_inline(index, job);
             return;
         }
         self.send_job(job);
+    }
+
+    /// Classifies an admitted job on the loop thread and answers it at
+    /// once — the path for a request whose own samples reach the flush
+    /// threshold, which gains nothing from coalescing and would only pay
+    /// the worker handoff (queue, wake pipe, completion lock).
+    fn run_inline(&mut self, index: usize, job: Job) {
+        let samples = job.samples();
+        let done = run_job(job);
+        self.batcher.release(samples);
+        let Some(Some(conn)) = self.conns.get_mut(index) else {
+            return;
+        };
+        for completion in done {
+            fill_slot(conn, completion.slot, completion.frame);
+        }
+        drain_ready(conn);
+        self.flush_out(index);
+        self.update_interest(index);
     }
 
     fn dispatch(&mut self, groups: Vec<FlushGroup>) {

@@ -34,10 +34,10 @@ use std::time::{Duration, Instant};
 /// `--mb-*` flags).
 #[derive(Clone, Debug)]
 pub struct MicroBatchConfig {
-    /// Coalesce at all? `false` dispatches every request to the worker
-    /// pool immediately (the event loop stays non-blocking either way).
-    pub enabled: bool,
-    /// Flush when this many samples are pending.
+    /// Flush when this many samples are pending. A request whose own
+    /// samples reach it is classified inline on the event-loop thread, so
+    /// `1` (`boltd --no-microbatch`) serves every request one at a time
+    /// without coalescing or a worker handoff.
     pub flush_samples: usize,
     /// Flush when the oldest pending sample has waited this long.
     pub flush_wait: Duration,
@@ -49,7 +49,6 @@ pub struct MicroBatchConfig {
 impl Default for MicroBatchConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             // The batch kernel's measured sweet spot starts around 64.
             flush_samples: 64,
             // Sub-millisecond latency budget; the poller's millisecond
@@ -144,28 +143,22 @@ impl MicroBatcher {
         self.admitted
     }
 
-    /// The size threshold that trips a flush — also the bar a
-    /// client-submitted batch must clear to count as "already
-    /// kernel-sized" for the event loop's same-thread fast path.
+    /// The size threshold that trips a flush — also the bar a request's
+    /// own samples must clear to count as "already kernel-sized" for the
+    /// event loop's same-thread fast path.
     pub(crate) fn flush_samples(&self) -> usize {
         self.cfg.flush_samples
     }
 
     /// Queues one *admitted* sample. Returns flush groups to dispatch when
-    /// the size threshold trips (or immediately when coalescing is
-    /// disabled); an empty vec means the sample is waiting on the timer.
+    /// the size threshold trips; an empty vec means the sample is waiting
+    /// on the timer.
     pub(crate) fn enqueue(
         &mut self,
         model: Arc<ModelHandle>,
         sample: QueuedSample,
         now: Instant,
     ) -> Vec<FlushGroup> {
-        if !self.cfg.enabled {
-            return vec![FlushGroup {
-                model,
-                items: vec![sample],
-            }];
-        }
         if self.pending.is_empty() {
             self.since = Some(now);
         }
@@ -323,21 +316,6 @@ mod tests {
         // A later enqueue must not push the deadline out.
         let _ = b.enqueue(Arc::clone(&model), sample(1), t0 + Duration::from_millis(8));
         assert_eq!(b.deadline(), Some(t0 + Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn disabled_coalescing_dispatches_singletons_immediately() {
-        let registry = ModelRegistry::new();
-        let model = handle(&registry, "m", 0);
-        let mut b = MicroBatcher::new(MicroBatchConfig {
-            enabled: false,
-            ..MicroBatchConfig::default()
-        });
-        assert!(b.admit(1));
-        let groups = b.enqueue(Arc::clone(&model), sample(0), Instant::now());
-        assert_eq!(groups.len(), 1);
-        assert_eq!(groups[0].items.len(), 1);
-        assert!(b.deadline().is_none());
     }
 
     #[test]

@@ -143,9 +143,12 @@ impl FrontEnd {
 /// [`ServerBuilder`](crate::ServerBuilder).
 ///
 /// The default [`ServingMode`] is the event-loop front-end with adaptive
-/// micro-batching; [`ServingMode::ThreadPerConnection`] restores the
-/// paper's §6 methodology (requests on a connection processed
-/// sequentially by a dedicated thread, without batching).
+/// micro-batching; a one-sample flush threshold
+/// ([`MicroBatchConfig::flush_samples`](crate::MicroBatchConfig::flush_samples)
+/// `= 1`) serves the paper's §6 methodology on it (requests processed one
+/// at a time, without batching, on the loop thread), and
+/// [`ServingMode::ThreadPerConnection`] serves it with a dedicated thread
+/// per connection.
 pub struct ClassificationServer {
     shared: Arc<Shared>,
     path: PathBuf,
@@ -312,21 +315,36 @@ pub(crate) fn route_error_frame(error: &RouteError) -> ErrorFrame {
     }
 }
 
-/// Classifies one sample on a resolved model, booking its latency.
-fn classify_one(model: &ModelHandle, features: &[f32]) -> ClassifyResponse {
-    // Latency measured from receipt to aggregation output (§6).
+/// The one place requests meet an engine, on either front-end: a lone
+/// sample goes to the engine's single-sample `classify`, anything larger to
+/// its batch kernel, chosen by input size alone. Books the call's wall
+/// clock (§6: from receipt to aggregation output) against the model and
+/// returns it with the classes; each sample counts as a request, so the
+/// mean reflects the amortized per-sample cost. Callers answer empty
+/// batches themselves: latency booked without a request count would skew
+/// the mean.
+pub(crate) fn classify(model: &ModelHandle, samples: &[&[f32]]) -> (Vec<u32>, u64) {
     let start = Instant::now();
-    let class = model.engine().classify(features);
+    let classes = match samples {
+        [sample] => vec![model.engine().classify(sample)],
+        _ => model.engine().classify_batch(samples),
+    };
     let latency_ns = start.elapsed().as_nanos() as u64;
-    model.book(1, latency_ns);
-    ClassifyResponse { class, latency_ns }
+    model.book(samples.len() as u64, latency_ns);
+    (classes, latency_ns)
 }
 
-/// Classifies a batch on a resolved model. Each sample counts as a
-/// request; the batch's wall clock is booked once, so mean latency
-/// reflects the amortized per-sample cost. Empty batches touch neither
-/// the engine nor the statistics: latency booked without a request count
-/// would skew the mean.
+/// Classifies one sample for the blocking front-end.
+fn classify_one(model: &ModelHandle, features: &[f32]) -> ClassifyResponse {
+    let (classes, latency_ns) = classify(model, &[features]);
+    ClassifyResponse {
+        class: classes[0],
+        latency_ns,
+    }
+}
+
+/// Classifies a batch frame for the blocking front-end; an empty batch
+/// touches neither the engine nor the statistics.
 fn classify_many(model: &ModelHandle, samples: &[Vec<f32>]) -> ClassifyBatchResponse {
     if samples.is_empty() {
         return ClassifyBatchResponse {
@@ -335,10 +353,7 @@ fn classify_many(model: &ModelHandle, samples: &[Vec<f32>]) -> ClassifyBatchResp
         };
     }
     let borrowed: Vec<&[f32]> = samples.iter().map(Vec::as_slice).collect();
-    let start = Instant::now();
-    let classes = model.engine().classify_batch(&borrowed);
-    let latency_ns = start.elapsed().as_nanos() as u64;
-    model.book(borrowed.len() as u64, latency_ns);
+    let (classes, latency_ns) = classify(model, &borrowed);
     ClassifyBatchResponse {
         classes,
         latency_ns,
@@ -594,10 +609,11 @@ mod tests {
             features: sample.to_vec(),
         }
         .encode();
-        // Trickle the frame across the server's 200 ms read timeout twice:
-        // once inside the length header, once inside the payload. The old
+        // Trickle the frame in three parts, pausing once inside the length
+        // header and once inside the payload: the front-end must keep the
+        // partial frame across reads and resume where it stopped. The old
         // read_exact-based reader lost the already-consumed bytes at each
-        // timeout and desynced the connection.
+        // pause and desynced the connection.
         raw.write_all(&framed[..2]).expect("writes");
         std::thread::sleep(Duration::from_millis(350));
         raw.write_all(&framed[2..6]).expect("writes");

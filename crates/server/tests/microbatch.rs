@@ -1,7 +1,8 @@
 //! Edge cases of the event-loop front-end's adaptive micro-batching:
-//! flush policy under pipelining, per-request malformed-payload errors,
-//! bounded-queue overload shedding, reconnect churn, and the retained
-//! thread-per-connection mode.
+//! flush policy under pipelining, which engine entry point each request
+//! shape reaches, per-request malformed-payload errors, bounded-queue
+//! overload shedding, reconnect churn, `--no-microbatch` inline serving,
+//! and the retained thread-per-connection mode.
 
 use bolt_baselines::InferenceEngine;
 use bolt_server::proto::{
@@ -11,10 +12,10 @@ use bolt_server::proto::{
 use bolt_server::{
     ClassificationClient, EventLoopOptions, MicroBatchConfig, ServerBuilder, ServingMode,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn unique_socket(tag: &str) -> PathBuf {
@@ -49,9 +50,65 @@ fn engine(delay: Duration) -> Arc<dyn InferenceEngine> {
     Arc::new(SlowEngine { delay })
 }
 
+/// One call into a [`RecordingEngine`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Call {
+    Single,
+    Batch(usize),
+}
+
+/// Logs which entry point every call takes; classes are a fixed function
+/// of the first feature, so the engine's own answer is known.
+#[derive(Default)]
+struct RecordingEngine {
+    calls: Mutex<Vec<Call>>,
+}
+
+impl RecordingEngine {
+    fn answer(sample: &[f32]) -> u32 {
+        (sample[0] as u32 * 7 + 3) % 11
+    }
+
+    fn take_calls(&self) -> Vec<Call> {
+        std::mem::take(&mut *self.calls.lock().expect("call log"))
+    }
+}
+
+impl InferenceEngine for RecordingEngine {
+    fn name(&self) -> &'static str {
+        "Recording"
+    }
+
+    fn classify(&self, sample: &[f32]) -> u32 {
+        self.calls.lock().expect("call log").push(Call::Single);
+        Self::answer(sample)
+    }
+
+    fn classify_batch(&self, samples: &[&[f32]]) -> Vec<u32> {
+        self.calls
+            .lock()
+            .expect("call log")
+            .push(Call::Batch(samples.len()));
+        samples.iter().map(|s| Self::answer(s)).collect()
+    }
+}
+
+fn singles(features: impl IntoIterator<Item = u32>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for f in features {
+        wire.extend_from_slice(
+            &ClassifyRequest {
+                features: vec![f as f32],
+            }
+            .encode(),
+        );
+    }
+    wire
+}
+
 /// Reads one response frame, sorting v2 error frames from legacy
 /// classification responses.
-fn read_response(stream: &mut UnixStream) -> Result<ClassifyResponse, u8> {
+fn read_response(stream: &mut impl Read) -> Result<ClassifyResponse, u8> {
     let payload = read_frame(stream).expect("read").expect("frame");
     if is_v2(&payload) {
         match V2Response::decode(&payload).expect("decodes") {
@@ -331,28 +388,103 @@ fn kernel_sized_batches_take_the_same_thread_fast_path() {
 }
 
 #[test]
-fn disabled_microbatching_still_serves_concurrently() {
-    let path = unique_socket("mb-off");
+fn engine_calls_follow_input_size() {
+    let path = unique_socket("calls");
+    let a = Arc::new(RecordingEngine::default());
+    let b = Arc::new(RecordingEngine::default());
     let server = ServerBuilder::new()
-        .register("m", engine(Duration::ZERO))
+        .register("a", Arc::clone(&a) as Arc<dyn InferenceEngine>)
+        .register("b", Arc::clone(&b) as Arc<dyn InferenceEngine>)
         .serving(ServingMode::EventLoop(EventLoopOptions {
             microbatch: MicroBatchConfig {
-                enabled: false,
+                flush_samples: 4,
                 ..MicroBatchConfig::default()
             },
             ..EventLoopOptions::default()
         }))
         .bind_uds(&path)
         .expect("binds");
+    let answer = |f: u32| RecordingEngine::answer(&[f as f32]);
+
+    // A lone single frame flushes alone on idle input: `classify`.
+    let mut client = ClassificationClient::connect(&path).expect("connects");
+    assert_eq!(
+        client.classify(&[5.0]).expect("classifies").class,
+        answer(5)
+    );
+    assert_eq!(a.take_calls(), [Call::Single]);
+
+    // Four pipelined singles fill one flush: a coalesced group is one
+    // `classify_batch`, answered in order.
+    let mut stream = UnixStream::connect(&path).expect("connects");
+    stream.write_all(&singles(10..14)).expect("writes");
+    for f in 10..14 {
+        assert_eq!(
+            read_response(&mut stream).expect("classified").class,
+            answer(f)
+        );
+    }
+    assert_eq!(a.take_calls(), [Call::Batch(4)]);
+
+    // Batch frames reach `classify_batch` below the inline threshold (a
+    // worker) and at it (the loop thread); a one-sample batch frame is a
+    // lone sample and reaches `classify`.
+    for (samples, call) in [
+        (vec![1.0, 2.0], Call::Batch(2)),
+        (vec![3.0, 4.0, 5.0, 6.0, 7.0], Call::Batch(5)),
+        (vec![8.0], Call::Single),
+    ] {
+        let rows: Vec<&[f32]> = samples.iter().map(std::slice::from_ref).collect();
+        let response = client.classify_batch(&rows).expect("classifies");
+        let want: Vec<u32> = samples.iter().map(|&f| answer(f as u32)).collect();
+        assert_eq!(response.classes, want);
+        assert_eq!(a.take_calls(), [call]);
+    }
+
+    // Routed singles land on their own model's engine and counters.
+    for f in 0..3 {
+        assert_eq!(
+            client.classify_with("b", &[f as f32]).expect("b").class,
+            answer(f)
+        );
+    }
+    assert_eq!(b.take_calls(), [Call::Single; 3]);
+    assert!(a.take_calls().is_empty());
+    assert_eq!(
+        server.stats_for("a").expect("a").requests,
+        1 + 4 + 2 + 5 + 1
+    );
+    assert_eq!(server.stats_for("b").expect("b").requests, 3);
+    server.shutdown();
+}
+
+/// `--no-microbatch` (a one-sample flush): pipelined singles are each
+/// classified by `classify` on the loop thread and answered in order, and
+/// concurrent clients are still served, over either transport.
+fn serve_without_microbatching<S: Read + Write + Send + 'static>(
+    connect: impl Fn() -> S + Send + Sync + 'static,
+    engine: &RecordingEngine,
+    stats: impl Fn() -> u64,
+) {
+    let mut stream = connect();
+    stream.write_all(&singles(0..40)).expect("writes");
+    for f in 0..40 {
+        let response = read_response(&mut stream).expect("classified");
+        assert_eq!(response.class, RecordingEngine::answer(&[f as f32]), "{f}");
+        assert!(response.latency_ns > 0);
+    }
+    assert_eq!(engine.take_calls(), [Call::Single; 40]);
+    let connect = Arc::new(connect);
     let handles: Vec<_> = (0..4)
         .map(|t| {
-            let path = path.clone();
+            let connect = Arc::clone(&connect);
             std::thread::spawn(move || {
-                let mut client = ClassificationClient::connect(&path).expect("connects");
-                for i in 0..50u32 {
-                    let want = (t * 50 + i) % 32;
-                    let response = client.classify(&[want as f32]).expect("classifies");
-                    assert_eq!(response.class, want);
+                let mut stream = connect();
+                for i in 0..25u32 {
+                    let f = t * 25 + i;
+                    stream.write_all(&singles([f])).expect("writes");
+                    let response = read_response(&mut stream).expect("classified");
+                    assert_eq!(response.class, RecordingEngine::answer(&[f as f32]));
                 }
             })
         })
@@ -360,8 +492,49 @@ fn disabled_microbatching_still_serves_concurrently() {
     for handle in handles {
         handle.join().expect("client thread");
     }
-    assert_eq!(server.stats().requests, 200);
-    server.shutdown();
+    assert_eq!(engine.take_calls(), [Call::Single; 100]);
+    assert_eq!(stats(), 140);
+}
+
+fn no_microbatch() -> EventLoopOptions {
+    EventLoopOptions {
+        microbatch: MicroBatchConfig {
+            flush_samples: 1,
+            ..MicroBatchConfig::default()
+        },
+        ..EventLoopOptions::default()
+    }
+}
+
+#[test]
+fn no_microbatch_serves_every_single_inline_over_uds_and_tcp() {
+    let path = unique_socket("mb-off");
+    let engine = Arc::new(RecordingEngine::default());
+    let uds = ServerBuilder::new()
+        .register("m", Arc::clone(&engine) as Arc<dyn InferenceEngine>)
+        .serving(ServingMode::EventLoop(no_microbatch()))
+        .bind_uds(&path)
+        .expect("binds");
+    let connect_path = path.clone();
+    serve_without_microbatching(
+        move || UnixStream::connect(&connect_path).expect("connects"),
+        &engine,
+        || uds.stats().requests,
+    );
+    uds.shutdown();
+
+    let tcp = ServerBuilder::new()
+        .register("m", Arc::clone(&engine) as Arc<dyn InferenceEngine>)
+        .serving(ServingMode::EventLoop(no_microbatch()))
+        .bind_tcp("127.0.0.1:0")
+        .expect("binds");
+    let addr = tcp.local_addr();
+    serve_without_microbatching(
+        move || std::net::TcpStream::connect(addr).expect("connects"),
+        &engine,
+        || tcp.stats().requests,
+    );
+    tcp.shutdown();
 }
 
 #[test]
